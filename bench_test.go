@@ -215,10 +215,11 @@ func BenchmarkLoad(b *testing.B) {
 // same workload query evaluated serially (parallelism 1, the paper's
 // methodology) and with a GOMAXPROCS worker budget. The chosen queries
 // stress the parallel paths differently: x5 and x13 are chunked per-tree
-// pipelines over many trees, x20 carries a multi-branch DisjFilter, Q1 adds
-// a value join whose independent sides fan out, and Q2 is nest-heavy. On a
-// single-core runner the two columns should be within noise of each other
-// (the parallel path degrades to chunk-at-a-time on one worker).
+// pipelines over many trees, x20 chains four count aggregates over one
+// people subtree, Q1 adds a value join whose independent sides fan out, and
+// Q2 is nest-heavy. On a single-core runner the two columns should be
+// within noise of each other (the parallel path degrades to
+// chunk-at-a-time on one worker).
 func BenchmarkParallelSpeedup(b *testing.B) {
 	db := benchDB(b, benchFactor())
 	workers := runtime.GOMAXPROCS(0)

@@ -27,24 +27,6 @@
 //
 //	tlcbench -startup -startup-factor 1 -json bench.json
 //
-// -update-mix R/W runs a mixed read/write workload (e.g. 95/5):
-// concurrent readers evaluate a pattern query while a writer applies
-// paired subtree inserts and deletes through the MVCC update path,
-// reporting update throughput and the reader-latency quantiles against a
-// read-only baseline (recorded under "update_mix" in the -json report):
-//
-//	tlcbench -update-mix 95/5 -factor 0.1 -json bench.json
-//
-// -disjuncts runs the OR/NOT ablation — each disjunctive query compiled
-// natively (logical-operator edges, one index probe per tag) and through
-// the legacy union-chain form, reporting the speedup (recorded under
-// "disjuncts" in the -json report). -contain-mix runs a skewed
-// multi-client query mix through the plan cache, reporting how much of
-// the workload was served by exact hits and containment-based reuse
-// instead of compilation (recorded under "contain_mix"):
-//
-//	tlcbench -disjuncts -contain-mix -factor 0.1 -json bench.json
-//
 // -durability sweeps the WAL fsync policies (off, batch, always) with a
 // sequential update workload, reporting commit cost and throughput per
 // policy and the overhead each pays relative to no durability (recorded
@@ -81,13 +63,6 @@ func main() {
 	snapshot := flag.String("snapshot", "", "snapshot directory for the figure 15/16 database: open it if it holds a snapshot (skipping the XMark load), otherwise write one there after loading")
 	startup := flag.Bool("startup", false, "measure cold start — XML parse+index vs snapshot open — and report wall time and heap (included in -json under \"startup\")")
 	startupFactor := flag.Float64("startup-factor", 1, "XMark scale factor for the -startup measurement")
-	updateMix := flag.String("update-mix", "", "mixed read/write ratio \"95/5\": concurrent readers vs one MVCC writer, reporting update throughput and reader-latency impact (included in -json under \"update_mix\")")
-	updateOps := flag.Int("update-ops", 2000, "total operations for the -update-mix workload")
-	updateReaders := flag.Int("update-readers", 4, "concurrent reader goroutines for -update-mix")
-	disjuncts := flag.Bool("disjuncts", false, "run the OR/NOT disjunct ablation — native logical-edge matching vs the legacy union-chain compilation (included in -json under \"disjuncts\")")
-	containMix := flag.Bool("contain-mix", false, "run the skewed multi-client plan-cache mix — exact vs containment reuse (included in -json under \"contain_mix\")")
-	containClients := flag.Int("contain-clients", 4, "concurrent client goroutines for -contain-mix")
-	containOps := flag.Int("contain-ops", 2000, "total queries for the -contain-mix workload")
 	durability := flag.Bool("durability", false, "run the WAL fsync-policy sweep — update commit cost under off, batch and always (included in -json under \"durability\")")
 	durabilityOps := flag.Int("durability-ops", 1000, "committed updates per policy for the -durability sweep")
 	flag.Parse()
@@ -119,7 +94,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlcbench: unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
-	if (*startup || *updateMix != "" || *disjuncts || *containMix || *durability) && *fig == "all" && !figFlagSet() {
+	if (*startup || *durability) && *fig == "all" && !figFlagSet() {
 		// A standalone experiment flag (no explicit -fig) measures only
 		// that experiment.
 		*fig = "none"
@@ -192,57 +167,6 @@ func main() {
 				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
 			}
 			rep.Startup = sr
-		}
-	}
-
-	if *updateMix != "" {
-		readPct, err := parseMix(*updateMix)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("=== Update mix: %d/%d read/write, XMark factor %g ===\n", readPct, 100-readPct, *factor)
-		ur, err := harness.MeasureUpdateMix(*factor, cfg.Shards, readPct, *updateOps, *updateReaders)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(ur.String())
-		if *jsonOut != "" {
-			if rep == nil {
-				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
-			}
-			rep.UpdateMix = ur
-		}
-	}
-
-	if *disjuncts {
-		db, err := openBenchDatabase(*factor, cfg.Shards, *snapshot)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("=== Disjunct ablation: native OR/NOT edges vs legacy union chains, XMark factor %g ===\n", *factor)
-		dr := harness.MeasureDisjuncts(db, cfg)
-		fmt.Print(dr.String())
-		db.Close()
-		if *jsonOut != "" {
-			if rep == nil {
-				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
-			}
-			rep.Disjuncts = dr
-		}
-	}
-
-	if *containMix {
-		fmt.Printf("=== Containment mix: %d clients, skewed thresholds, XMark factor %g ===\n", *containClients, *factor)
-		cr, err := harness.MeasureContainMix(*factor, cfg.Shards, *containClients, *containOps)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(cr.String())
-		if *jsonOut != "" {
-			if rep == nil {
-				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
-			}
-			rep.ContainMix = cr
 		}
 	}
 
@@ -355,20 +279,6 @@ func parseEngines(s string) []tlc.Engine {
 		out = append(out, e)
 	}
 	return out
-}
-
-// parseMix parses a "reads/writes" percentage pair like "95/5".
-func parseMix(s string) (int, error) {
-	r, w, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, fmt.Errorf("bad -update-mix %q, want e.g. 95/5", s)
-	}
-	rp, err1 := strconv.Atoi(strings.TrimSpace(r))
-	wp, err2 := strconv.Atoi(strings.TrimSpace(w))
-	if err1 != nil || err2 != nil || rp+wp != 100 || rp <= 0 || wp <= 0 {
-		return 0, fmt.Errorf("bad -update-mix %q, want two positive percentages summing to 100", s)
-	}
-	return rp, nil
 }
 
 func parseFactors(s string) ([]float64, error) {

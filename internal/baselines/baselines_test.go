@@ -102,6 +102,16 @@ var crossQueries = map[string]string{
 	"or-under-and": `FOR $p IN document("auction.xml")//person
 		WHERE $p/age > 25 AND ($p/name = "Carol" OR $p/age < 35)
 		RETURN $p/name/text()`,
+	// The two OR shapes native logical edges cannot express, which
+	// compile to the optional-branch + DisjFilter fallback: disjuncts on
+	// different anchor variables, and predicates on the bound node itself.
+	"or-mixed-anchor": `FOR $p IN document("auction.xml")//person
+		FOR $o IN document("auction.xml")//open_auction
+		WHERE $p/age > 35 OR $o/quantity = 2
+		RETURN <pair>{$p/name/text()}</pair>`,
+	"or-bare-var": `FOR $a IN document("auction.xml")//age
+		WHERE $a > 35 OR $a < 25
+		RETURN $a/text()`,
 	"order-by": `FOR $p IN document("auction.xml")//person
 		WHERE $p/age > 0
 		ORDER BY $p/age DESCENDING
@@ -178,6 +188,39 @@ func TestEnginesAgree(t *testing.T) {
 				t.Errorf("NAV differs from TLC.\nTLC:\n%s\nNAV:\n%s", wantC, got)
 			}
 		})
+	}
+}
+
+// TestDisjFilterFallback pins that the fallback OR cases of crossQueries
+// really reach the DisjFilter path (so TestEnginesAgree covers it) and
+// return the expected number of trees.
+func TestDisjFilterFallback(t *testing.T) {
+	s := loadStore(t)
+	for name, want := range map[string]int{"or-mixed-anchor": 6, "or-bare-var": 2} {
+		ast, err := xquery.Parse(crossQueries[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := translate.Translate(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, op := range algebra.Ops(res.Plan) {
+			if _, ok := op.(*algebra.DisjFilter); ok {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: plan has no DisjFilter:\n%s", name, algebra.Explain(res.Plan))
+		}
+		out, err := algebra.Run(s, res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != want {
+			t.Errorf("%s: %d trees, want %d", name, len(out), want)
+		}
 	}
 }
 

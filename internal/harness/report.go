@@ -36,16 +36,6 @@ type BenchReport struct {
 	// -startup: XML parse+index versus snapshot open (its own factor —
 	// startup is typically measured at a larger scale than the workload).
 	Startup *StartupReport `json:"startup,omitempty"`
-	// UpdateMix, when present, is the mixed read/write workload of
-	// tlcbench -update-mix: MVCC update throughput and the reader-latency
-	// quantiles against a read-only baseline.
-	UpdateMix *UpdateMixReport `json:"update_mix,omitempty"`
-	// Disjuncts, when present, is the tlcbench -disjuncts ablation: native
-	// logical-edge OR/NOT matching versus the legacy union-chain form.
-	Disjuncts *DisjunctReport `json:"disjuncts,omitempty"`
-	// ContainMix, when present, is the tlcbench -contain-mix workload:
-	// plan-cache exact versus containment reuse under a skewed client mix.
-	ContainMix *ContainMixReport `json:"contain_mix,omitempty"`
 	// Durability, when present, is the tlcbench -durability sweep: update
 	// commit cost under each WAL fsync policy (off, batch, always).
 	Durability *DurabilityReport `json:"durability,omitempty"`

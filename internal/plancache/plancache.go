@@ -52,8 +52,6 @@ type Key struct {
 	Query string
 	// Engine is the evaluation engine.
 	Engine tlc.Engine
-	// PlannerOff mirrors tlc.WithPlanner(false).
-	PlannerOff bool
 	// Parallelism mirrors tlc.WithParallelism; it is baked into the
 	// Prepared at compile time, so it must be part of the key.
 	Parallelism int
@@ -344,7 +342,6 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 	}
 	opts := []tlc.Option{
 		tlc.WithEngine(key.Engine),
-		tlc.WithPlanner(!key.PlannerOff),
 		tlc.WithParallelism(key.Parallelism),
 		tlc.WithLimits(key.Limits),
 	}

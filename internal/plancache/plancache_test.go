@@ -69,7 +69,6 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 	keys := []Key{
 		{Query: testQuery},
 		{Query: testQuery, Engine: tlc.TLCOpt},
-		{Query: testQuery, PlannerOff: true},
 		{Query: testQuery, Parallelism: 2},
 	}
 	for _, k := range keys {
@@ -77,8 +76,8 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 			t.Fatalf("key %+v: hit=%v err=%v, want fresh compile", k, hit, err)
 		}
 	}
-	if st := c.Stats(); st.Misses != 4 || st.Size != 4 {
-		t.Errorf("stats = %+v, want 4 distinct entries", st)
+	if st := c.Stats(); st.Misses != 3 || st.Size != 3 {
+		t.Errorf("stats = %+v, want 3 distinct entries", st)
 	}
 }
 

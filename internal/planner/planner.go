@@ -27,14 +27,9 @@ import (
 	"tlc/internal/store"
 )
 
-// Options configures a planning pass.
-type Options struct {
-	// PinNestedLoop, when non-nil, pins the algorithm of every equality
-	// value join instead of costing it: true forces nested-loop, false
-	// forces sort–merge–sort. Used by the ablation benchmarks; normal
-	// planning leaves it nil.
-	PinNestedLoop *bool
-}
+// Options configures a planning pass. None are defined; the type keeps
+// Plan callers source-compatible.
+type Options struct{}
 
 // Info reports what the planner did and what it expects, keyed by operator
 // identity so EXPLAIN/PROFILE can annotate the plan they already render.
@@ -114,7 +109,7 @@ func (i *Info) Summary() string {
 //
 // Plan mutates operators in place (edge slices, filter links, join flags);
 // it must run before the plan is first evaluated.
-func Plan(root algebra.Op, st *store.Store, opts Options) (algebra.Op, *Info) {
+func Plan(root algebra.Op, st *store.Store, _ Options) (algebra.Op, *Info) {
 	info := &Info{est: make(map[algebra.Op]float64)}
 	est := newEstimator(st, root)
 
@@ -124,7 +119,7 @@ func Plan(root algebra.Op, st *store.Store, opts Options) (algebra.Op, *Info) {
 
 	// Join algorithm choice needs input cardinalities of the final shape.
 	est = newEstimator(st, root)
-	chooseJoins(root, est, opts, info)
+	chooseJoins(root, est, info)
 
 	for _, op := range algebra.Ops(root) {
 		info.est[op] = est.estimate(op)

@@ -36,15 +36,13 @@ func TestReadyzTracksRecoveryAndDrain(t *testing.T) {
 	// Liveness stays 200 through every state below.
 	checkLive := func() {
 		t.Helper()
-		for _, ep := range []string{"/healthz", "/livez"} {
-			resp, err := http.Get(ts.URL + ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s = %d during recovery/drain, want 200", ep, resp.StatusCode)
-			}
+		resp, err := http.Get(ts.URL + "/livez")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/livez = %d during recovery/drain, want 200", resp.StatusCode)
 		}
 	}
 

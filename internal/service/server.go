@@ -17,7 +17,7 @@
 //	                (with a WAL attached, also a durable checkpoint:
 //	                rotate, snapshot, truncate)
 //	GET  /documents loaded document names and versions
-//	GET  /healthz   liveness (alias /livez): the process is up
+//	GET  /livez     liveness: the process is up
 //	GET  /readyz    readiness: 503 while replaying the WAL or draining
 //	GET  /varz      metrics JSON
 //	GET  /faultz    fault-injection counters only (lock-free; stays
@@ -205,8 +205,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/snapshot", s.instrument(s.protect("snapshot", s.handleSnapshot)))
 	mux.HandleFunc("/update", s.instrument(s.protect("update", s.handleUpdate)))
 	mux.HandleFunc("/documents", s.instrument(s.handleDocuments))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/livez", s.handleHealthz)
+	mux.HandleFunc("/livez", s.handleLivez)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/varz", s.handleVarz)
 	mux.HandleFunc("/faultz", s.handleFaultz)
@@ -376,8 +375,6 @@ type queryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Parallelism overrides the server's default intra-query parallelism.
 	Parallelism int `json:"parallelism,omitempty"`
-	// NoPlanner disables the cost-based planner (ablation runs).
-	NoPlanner bool `json:"no_planner,omitempty"`
 	// TimeoutMS overrides the server's default evaluation deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -550,7 +547,6 @@ func (s *Server) plan(ctx context.Context, req *queryRequest, par int) (*tlc.Pre
 	return s.cache.Load(ctx, s.db, plancache.Key{
 		Query:       req.Query,
 		Engine:      engine,
-		PlannerOff:  req.NoPlanner,
 		Parallelism: par,
 		Limits:      s.limits(req),
 	})
@@ -640,8 +636,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer s.rlockShards(s.queryShards(req.Query))()
 
 	engine, _ := tlc.ParseEngine(req.Engine)
-	opts := []tlc.Option{tlc.WithEngine(engine), tlc.WithPlanner(!req.NoPlanner)}
-	plan, err := s.db.ExplainContext(ctx, req.Query, opts...)
+	plan, err := s.db.ExplainContext(ctx, req.Query, tlc.WithEngine(engine))
 	if err != nil {
 		if internalClass(err) {
 			status, code := classify(err)
@@ -674,11 +669,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	defer s.rlockShards(s.queryShards(req.Query))()
 
 	engine, _ := tlc.ParseEngine(req.Engine)
-	opts := []tlc.Option{
-		tlc.WithEngine(engine),
-		tlc.WithPlanner(!req.NoPlanner),
-		tlc.WithLimits(s.limits(req)),
-	}
+	opts := []tlc.Option{tlc.WithEngine(engine), tlc.WithLimits(s.limits(req))}
 	if s.preEval != nil {
 		s.preEval()
 	}
@@ -935,10 +926,10 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleHealthz is liveness (also mounted at /livez): the process is up
-// and serving HTTP. It stays 200 during WAL replay and drain — restarting
-// a recovering node would only restart its recovery.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// handleLivez is liveness: the process is up and serving HTTP. It stays
+// 200 during WAL replay and drain — restarting a recovering node would
+// only restart its recovery.
+func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain")
 	fmt.Fprintln(w, "ok")
 }
@@ -986,11 +977,11 @@ type varz struct {
 	// Arena holds process-wide witness-node allocation totals: nodes drawn
 	// from slab arenas, slabs that cost, and nodes allocated individually
 	// because no arena was in scope.
-	Arena      map[string]int64 `json:"arena"`
+	Arena map[string]int64 `json:"arena"`
 	// Snapshot holds the snapshot gauges: bytes currently mmap'd from
 	// opened snapshots, snapshots written since start, and the size and
 	// wall time of the most recent write.
-	Snapshot   map[string]int64 `json:"snapshot"`
+	Snapshot map[string]int64 `json:"snapshot"`
 	// Mutate holds the MVCC update gauges: updates committed since process
 	// start, commit races lost (each one retried), document versions still
 	// reachable (live + pinned superseded), and incremental statistics

@@ -294,37 +294,72 @@ func TestLoadAndDocumentsEndpoints(t *testing.T) {
 	}
 }
 
+// TestLoadInvalidatesPlanCache pins the shard-scoped invalidation
+// contract on an explicit shard count: a load onto another shard leaves
+// site.xml's cached plan a hit, a load onto site.xml's shard invalidates
+// it.
 func TestLoadInvalidatesPlanCache(t *testing.T) {
-	db := tlc.Open()
+	db := tlc.Open(tlc.WithShards(4))
 	if err := db.LoadXMLString("site.xml", siteXML); err != nil {
 		t.Fatal(err)
 	}
+	// Pick one document name per side of site.xml's shard.
+	var sameShard, otherShard string
+	for i := 0; sameShard == "" || otherShard == ""; i++ {
+		name := fmt.Sprintf("doc%d.xml", i)
+		if db.ShardOfDocument(name) == db.ShardOfDocument("site.xml") {
+			if sameShard == "" {
+				sameShard = name
+			}
+		} else if otherShard == "" {
+			otherShard = name
+		}
+	}
 	srv, ts := newServer(t, Config{DB: db})
-	postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if srv.cache.Stats().Hits != 1 {
-		t.Fatalf("cache stats = %+v", srv.cache.Stats())
+	query := func() bool {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query status = %d: %s", resp.StatusCode, body)
+		}
+		return decode[queryResponse](t, body).CacheHit
 	}
-	resp, err := http.Post(ts.URL+"/load?name=other.xml", "application/xml", strings.NewReader("<r><x>1</x></r>"))
-	if err != nil {
-		t.Fatal(err)
+	load := func(name string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/load?name="+name, "application/xml", strings.NewReader("<r><x>1</x></r>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("load %s status = %d", name, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	// Same query again: the load flushed the cache, so this is a miss.
-	_, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if out := decode[queryResponse](t, body); out.CacheHit {
-		t.Error("query after a load hit a stale cached plan")
+
+	if query() || !query() {
+		t.Fatalf("want a miss then a hit, cache stats = %+v", srv.cache.Stats())
 	}
-	if srv.cache.Stats().Invalidations == 0 {
-		t.Error("load did not invalidate the plan cache")
+	load(otherShard)
+	if !query() {
+		t.Errorf("load of %s (another shard) invalidated site.xml's plan", otherShard)
+	}
+	if n := srv.cache.Stats().Invalidations; n != 0 {
+		t.Errorf("invalidations = %d after an other-shard load, want 0", n)
+	}
+	load(sameShard)
+	if query() {
+		t.Errorf("query after a load of %s (site.xml's shard) hit a stale cached plan", sameShard)
+	}
+	if n := srv.cache.Stats().Invalidations; n != 1 {
+		t.Errorf("invalidations = %d after a same-shard load, want 1", n)
 	}
 }
 
-func TestHealthz(t *testing.T) {
+func TestLivez(t *testing.T) {
 	_, ts := newServer(t, Config{})
-	resp, body := getBody(t, ts.URL+"/healthz")
+	resp, body := getBody(t, ts.URL+"/livez")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
-		t.Errorf("healthz = %d %q", resp.StatusCode, body)
+		t.Errorf("livez = %d %q", resp.StatusCode, body)
 	}
 }
 

@@ -64,24 +64,20 @@ type PredSite struct {
 	Liftable bool
 }
 
-// Options tune the translation.
-type Options struct {
-	// LegacyDisjuncts disables native OR/NOT pattern-edge annotations and
-	// compiles disjunctions to the pre-PR9 optional-branch + DisjFilter
-	// form. Kept as an ablation baseline for tlcbench -disjuncts.
-	LegacyDisjuncts bool
-}
+// Options tune the translation. None are defined; the type keeps
+// TranslateOpts callers source-compatible.
+type Options struct{}
 
 // Translate compiles a parsed query into a TLC plan.
 func Translate(f *xquery.FLWOR) (*Result, error) {
 	return TranslateOpts(f, Options{})
 }
 
-// TranslateOpts compiles a parsed query into a TLC plan with options.
-func TranslateOpts(f *xquery.FLWOR, opts Options) (*Result, error) {
+// TranslateOpts is Translate with options.
+func TranslateOpts(f *xquery.FLWOR, _ Options) (*Result, error) {
 	counter := 0
 	tagOf := make(map[int]string)
-	shared := &sharedState{opts: opts}
+	shared := &sharedState{}
 	t := &translator{lclCounter: &counter, tagOf: tagOf, shared: shared}
 	res, err := t.block(f)
 	if err != nil {
@@ -140,7 +136,6 @@ type blockResult struct {
 type sharedState struct {
 	varLCLs  []int
 	docNames []string
-	opts     Options
 	// predSites accumulates conjunctive simple predicates in translation
 	// order (see Result.PredSites).
 	predSites []PredSite
@@ -231,7 +226,7 @@ func (t *translator) bind(b xquery.Binding) error {
 		if len(path.Steps) == 0 {
 			return fmt.Errorf("translate: %s binds a bare document", b.Var)
 		}
-		if t.shared != nil && !contains(t.shared.docNames, path.Doc) {
+		if !contains(t.shared.docNames, path.Doc) {
 			t.shared.docNames = append(t.shared.docNames, path.Doc)
 		}
 		root := pattern.NewDocRoot(t.newLCL("doc_root"), path.Doc)
@@ -299,12 +294,10 @@ func (t *translator) setVar(name string, b *binding) {
 	if b.node != nil && b.node.LCL == 0 {
 		b.node.LCL = t.newLCL(tagOfNode(b.node))
 	}
-	if t.shared != nil {
-		if b.node != nil {
-			t.shared.varLCLs = append(t.shared.varLCLs, b.node.LCL)
-		} else if b.rootLCL > 0 {
-			t.shared.varLCLs = append(t.shared.varLCLs, b.rootLCL)
-		}
+	if b.node != nil {
+		t.shared.varLCLs = append(t.shared.varLCLs, b.node.LCL)
+	} else if b.rootLCL > 0 {
+		t.shared.varLCLs = append(t.shared.varLCLs, b.rootLCL)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // where processes the WHERE clause. Conjunctions are flattened and each
-// conjunct handled by its Figure 6 case; disjunctions compile to optional
-// pattern branches plus a disjunctive filter.
+// conjunct handled by its Figure 6 case; disjunctions compile to logical
+// OR pattern edges, or to optional branches plus a disjunctive filter when
+// the disjuncts do not share one anchor (see whereOr).
 func (t *translator) where(e xquery.Expr) error {
 	switch x := e.(type) {
 	case *xquery.And:
@@ -80,20 +81,6 @@ func (t *translator) whereNotSimple(path *xquery.Path, pred *pattern.Predicate) 
 			return fmt.Errorf("translate: not(%s) over a bare variable is not supported", path)
 		}
 		t.root = algebra.NewFilter(t.root, b.node.LCL, *pred, algebra.NoneOf)
-		return nil
-	}
-	if t.shared.opts.LegacyDisjuncts {
-		// Ablation mode: no pattern annotations; compile to an optional
-		// "*" branch plus a NoneOf filter over its class.
-		leaf, err := t.extendChain(b.node, path.Steps, pattern.ZeroOrMore)
-		if err != nil {
-			return err
-		}
-		p := pattern.Predicate{Op: pattern.NE, Value: "\x00tlc-never"}
-		if pred != nil {
-			p = *pred
-		}
-		t.root = algebra.NewFilter(t.root, leaf.LCL, p, algebra.NoneOf)
 		return nil
 	}
 	t.logicalChain(b.node, path.Steps, pred, 0, true)
@@ -387,18 +374,17 @@ func (t *translator) quantTarget(q *xquery.Quantified) (int, error) {
 	}
 }
 
-// whereOr compiles a disjunction: every disjunct must be a simple
-// predicate; the paths accrete with "*" edges (optional — absence must not
-// drop the tree before the disjunction is decided) and a DisjFilter
-// evaluates the OR. Per Figure 6 the paper formulates OR as a UNION of
-// plans; the optional-branch formulation yields the same trees without
-// duplicating the block plan, keeping class labels consistent across
-// disjuncts, which is what the ORExp case demands.
+// whereOr compiles a disjunction. Disjuncts that share one anchor node
+// become an OR-annotated edge group (whereOrNative). Otherwise every
+// disjunct must be a simple predicate; the paths accrete with "*" edges
+// (optional — absence must not drop the tree before the disjunction is
+// decided) and a DisjFilter evaluates the OR. Per Figure 6 the paper
+// formulates OR as a UNION of plans; the optional-branch formulation yields
+// the same trees without duplicating the block plan, keeping class labels
+// consistent across disjuncts, which is what the ORExp case demands.
 func (t *translator) whereOr(o *xquery.Or) error {
-	if t.shared == nil || !t.shared.opts.LegacyDisjuncts {
-		if done, err := t.whereOrNative(o); done || err != nil {
-			return err
-		}
+	if done, err := t.whereOrNative(o); done || err != nil {
+		return err
 	}
 	var branches []algebra.FilterBranch
 	var collect func(e xquery.Expr, neg bool) error
@@ -459,7 +445,7 @@ func disjMode(neg bool) algebra.FilterMode {
 }
 
 // disjLeaf resolves one disjunct path to an optional-branch pattern leaf
-// (the legacy "*"-edge formulation).
+// (the "*"-edge formulation of the DisjFilter fallback).
 func (t *translator) disjLeaf(p *xquery.Path) (*pattern.Node, error) {
 	b, err := t.patternVar(p)
 	if err != nil {

@@ -86,7 +86,7 @@ func TestShardSharedBudget(t *testing.T) {
 	// configuration.
 	var budget, tripped int64
 	for budget = 64; budget < 1<<30; budget *= 2 {
-		_, err := db1.Query(query, WithMaxArenaNodes(budget))
+		_, err := db1.Query(query, WithLimits(Limits{MaxArenaNodes: budget}))
 		if err == nil {
 			break
 		}
@@ -105,7 +105,7 @@ func TestShardSharedBudget(t *testing.T) {
 		db  *Database
 		par int
 	}{{db1, 1}, {db1, 4}, {db4, 1}, {db4, 4}} {
-		_, err := cfg.db.Query(query, WithMaxArenaNodes(check), WithParallelism(cfg.par))
+		_, err := cfg.db.Query(query, WithLimits(Limits{MaxArenaNodes: check}), WithParallelism(cfg.par))
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Errorf("shards=%d parallelism=%d: err = %v, want *BudgetError",
@@ -123,7 +123,7 @@ func TestShardSharedBudget(t *testing.T) {
 	// because every shard arena (plus the main arena) rounds its charge up
 	// to a whole slab, so the 4-shard run's governed usage can be several
 	// slabs above the 1-shard calibration.
-	if _, err := db4.Query(query, WithMaxArenaNodes(1<<30), WithParallelism(4)); err != nil {
+	if _, err := db4.Query(query, WithLimits(Limits{MaxArenaNodes: 1 << 30}), WithParallelism(4)); err != nil {
 		t.Errorf("generous budget on 4 shards: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	_, db4, query := shardBudgetFixture(t)
 
-	inBudget, err := db4.Compile(query, WithMaxArenaNodes(1<<30), WithParallelism(4))
+	inBudget, err := db4.Compile(query, WithLimits(Limits{MaxArenaNodes: 1 << 30}), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 		}()
 
 		start := time.Now()
-		_, err := db4.Query(query, WithMaxArenaNodes(64), WithParallelism(4))
+		_, err := db4.Query(query, WithLimits(Limits{MaxArenaNodes: 64}), WithParallelism(4))
 		elapsed := time.Since(start)
 		var be *BudgetError
 		if !errors.As(err, &be) {

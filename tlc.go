@@ -699,11 +699,10 @@ type BudgetError = governor.ErrBudgetExceeded
 type Option func(*queryConfig)
 
 type queryConfig struct {
-	engine          Engine
-	parallelism     int
-	plannerOff      bool
-	limits          Limits
-	legacyDisjuncts bool
+	engine      Engine
+	parallelism int
+	plannerOff  bool
+	limits      Limits
 }
 
 // WithEngine selects the evaluation engine for a query.
@@ -735,39 +734,6 @@ func WithParallelism(n int) Option {
 // WithLimits sets the query's whole resource budget at once.
 func WithLimits(l Limits) Option {
 	return func(c *queryConfig) { c.limits = l }
-}
-
-// WithLegacyDisjuncts disables native OR/NOT pattern-tree annotations for
-// the TLC translator: disjunctions compile to the pre-annotation form of
-// one optional "*" branch per disjunct plus a disjunctive filter. This is
-// the ablation baseline tlcbench -disjuncts measures against; production
-// queries should leave it off.
-func WithLegacyDisjuncts(on bool) Option {
-	return func(c *queryConfig) { c.legacyDisjuncts = on }
-}
-
-// WithMaxArenaNodes caps the query's witness-node allocation (n <= 0 is
-// unlimited). See Limits.MaxArenaNodes.
-func WithMaxArenaNodes(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxArenaNodes = n }
-}
-
-// WithMaxArenaBytes caps the query's arena memory in bytes (n <= 0 is
-// unlimited). See Limits.MaxArenaBytes.
-func WithMaxArenaBytes(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxArenaBytes = n }
-}
-
-// WithMaxResultCard caps every intermediate sequence's cardinality (n <= 0
-// is unlimited). See Limits.MaxResultCard.
-func WithMaxResultCard(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxResultCard = n }
-}
-
-// WithMaxWall caps evaluation wall-clock time as a budget (d <= 0 is
-// unlimited). See Limits.MaxWall.
-func WithMaxWall(d time.Duration) Option {
-	return func(c *queryConfig) { c.limits.MaxWall = d }
 }
 
 // Prepared is a compiled query, reusable across executions (the benchmark
@@ -879,19 +845,18 @@ func (db *Database) CompileContext(ctx context.Context, text string, opts ...Opt
 		return nil, err
 	}
 	p := &Prepared{engine: cfg.engine, ast: ast, parallelism: cfg.parallelism, limits: cfg.limits}
-	topts := translate.Options{LegacyDisjuncts: cfg.legacyDisjuncts}
 	switch cfg.engine {
 	case Nav:
 		return p, nil
 	case TLC:
-		res, err := translate.TranslateOpts(ast, topts)
+		res, err := translate.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
 		p.plan = res.Plan
 		p.predSites = res.PredSites
 	case TLCOpt:
-		res, err := translate.TranslateOpts(ast, topts)
+		res, err := translate.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
