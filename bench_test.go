@@ -11,6 +11,7 @@
 //	BenchmarkAblationValueJoin — sort–merge–sort vs nested-loop value join
 //	BenchmarkAblationReuse     — extension select vs fresh match + id join
 //	BenchmarkLoad              — XMark generation + indexing throughput
+//	BenchmarkUpdate            — one insert+delete update pair at two scales
 //
 // The benchmark scale factor defaults to 0.05 and can be overridden with
 // the TLC_BENCH_FACTOR environment variable. Absolute numbers are not
@@ -19,6 +20,7 @@
 package tlc
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -208,6 +210,38 @@ func BenchmarkLoad(b *testing.B) {
 		if err := db.LoadXMark("auction.xml", f); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpdate measures one update pair through Database.UpdateContext:
+// the insert of a small bench_note into a person and the delete of that
+// note, the pair the service benchmark's writer sends, so every op leaves
+// the document as it found it. It runs at two scale factors because an
+// update's cost grows with the document (each pair builds two whole-
+// document versions); ns/op and B/op are per pair.
+func BenchmarkUpdate(b *testing.B) {
+	for _, f := range []float64{0.05, 0.5} {
+		b.Run(fmt.Sprintf("f=%g", f), func(b *testing.B) {
+			db := Open()
+			if err := db.LoadXMark("auction.xml", f); err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				target := fmt.Sprintf("/site/people/person[%d]", 1+i%100)
+				for _, req := range []UpdateRequest{
+					{Doc: "auction.xml", Op: UpdateInsert, Target: target,
+						Fragment: fmt.Sprintf(`<bench_note seq="%d">probe %d</bench_note>`, i, i%1000)},
+					{Doc: "auction.xml", Op: UpdateDelete, Target: target + "/bench_note[1]"},
+				} {
+					if _, err := db.UpdateContext(ctx, req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

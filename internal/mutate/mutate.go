@@ -265,14 +265,13 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		// Charge the write before doing it: new nodes plus an estimate of
-		// the column bytes they occupy (8 int32/uint32 columns) and the
-		// fragment text.
+		// Charge the write before doing it: new nodes plus the column
+		// bytes they occupy and the fragment text.
 		var newNodes int64
 		if op.Frag != nil {
 			newNodes = int64(len(op.Frag.Nodes))
 		}
-		if err := governor.FromContext(ctx).AddAlloc(newNodes, newNodes*32+int64(len(req.Fragment))); err != nil {
+		if err := governor.FromContext(ctx).AddAlloc(newNodes, newNodes*store.ColumnBytesPerNode+int64(len(req.Fragment))); err != nil {
 			return res, err
 		}
 		nd, sr, err := st.BuildSplice(d, op)

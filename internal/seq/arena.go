@@ -47,11 +47,16 @@ type Arena struct {
 	free  sync.Pool // *slab with spare capacity
 	nodes atomic.Int64
 	slabs atomic.Int64
-	// gov, when non-nil, budgets this arena's memory: every new slab is
-	// charged against the run's governor, and an exhausted budget aborts
-	// the allocating query via governor.Abort (recovered into a typed
-	// *ErrBudgetExceeded at the evaluator's containment barriers). Slab
-	// granularity keeps the check off the per-node fast path.
+	// gov, when non-nil, budgets this arena's memory: one slab's worth
+	// (slabNodes nodes, slabBytes) is charged against the run's governor
+	// each time the arena's node count enters a new multiple of slabNodes,
+	// and an exhausted budget aborts the allocating query via
+	// governor.Abort (recovered into a typed *ErrBudgetExceeded at the
+	// evaluator's containment barriers). Charging by the node count rather
+	// than per slab created keeps governed usage independent of pool
+	// luck — sync.Pool may drop any Put, and does so at random under the
+	// race detector — while slab granularity keeps the check off the
+	// per-node fast path.
 	gov *governor.Governor
 }
 
@@ -114,14 +119,17 @@ func (a *Arena) node() *Node {
 		plainNodesTotal.Add(1)
 		return &Node{}
 	}
-	s, _ := a.free.Get().(*slab)
-	if s == nil || len(s.buf) == cap(s.buf) {
+	if a.nodes.Add(1)%slabNodes == 1 {
 		if err := a.gov.AddAlloc(slabNodes, slabBytes); err != nil {
 			// No error return exists on the node-allocation path; abort the
 			// query with a controlled panic the evaluator barriers convert
 			// back into the budget error.
 			governor.Abort(err)
 		}
+	}
+	arenaNodesTotal.Add(1)
+	s, _ := a.free.Get().(*slab)
+	if s == nil || len(s.buf) == cap(s.buf) {
 		s = &slab{buf: make([]Node, 0, slabNodes)}
 		a.slabs.Add(1)
 		arenaSlabsTotal.Add(1)
@@ -129,8 +137,6 @@ func (a *Arena) node() *Node {
 	s.buf = append(s.buf, Node{})
 	n := &s.buf[len(s.buf)-1]
 	a.free.Put(s)
-	a.nodes.Add(1)
-	arenaNodesTotal.Add(1)
 	return n
 }
 

@@ -12,14 +12,17 @@ import (
 // (pre-order) order, instead of an arena of pointer-rich node structs:
 //
 //	ordinal   0     1     2     3    ...
-//	start   [ 0  |  1  |  2  |  3  | ...]  int32   interval start (== ordinal)
 //	end     [ 9  |  4  |  2  |  3  | ...]  int32   interval end
 //	level   [ 0  |  1  |  2  |  2  | ...]  int32   depth from the root
 //	parent  [-1  |  0  |  1  |  1  | ...]  int32   parent ordinal (-1 at root)
-//	first   [ 1  |  2  | -1  | -1  | ...]  int32   first-child ordinal
 //	kind    [ E  |  E  |  A  |  T  | ...]  uint8   Element / Attribute / Text
 //	tag     [ 5  |  9  |  2  |  0  | ...]  uint32  tag dictionary ID
 //	val     [ 0  |  7  |  3  |  3  | ...]  uint32  value dictionary ID + 1
+//
+// Two node fields need no column because preorder derives them: the
+// interval start is the ordinal itself, and the first child of a node is
+// the next ordinal when its interval is non-empty (end > ordinal), none
+// otherwise. The six columns take ColumnBytesPerNode bytes per node.
 //
 // Tags and values are dictionary-encoded: the columns hold dense integer
 // IDs, the strings live once in the owning shard's interned dictionaries
@@ -40,15 +43,17 @@ import (
 
 // cols is the struct-of-arrays node table of one document.
 type cols struct {
-	start      []int32
-	end        []int32
-	level      []int32
-	parent     []int32
-	firstChild []int32
-	kind       []uint8
-	tag        []uint32
-	val        []uint32
+	end    []int32
+	level  []int32
+	parent []int32
+	kind   []uint8
+	tag    []uint32
+	val    []uint32
 }
+
+// ColumnBytesPerNode is the column footprint of one node: three int32,
+// two uint32 and one uint8 column.
+const ColumnBytesPerNode = 3*4 + 2*4 + 1
 
 // dirEntry is one tag- or value-index directory entry: the postings for
 // dictionary ID id are post[off : off+n]. Directories are sorted by id.
@@ -97,13 +102,13 @@ func (d *Doc) DocID() DocID { return d.id }
 func (d *Doc) Version() uint64 { return d.version }
 
 // Len returns the number of nodes in the document.
-func (d *Doc) Len() int { return len(d.c.start) }
+func (d *Doc) Len() int { return len(d.c.end) }
 
 // Root returns the ordinal of the document root element (always 0).
 func (d *Doc) Root() int32 { return 0 }
 
 // Start returns the interval start of the node (== its ordinal).
-func (d *Doc) Start(ord int32) int32 { return d.c.start[ord] }
+func (d *Doc) Start(ord int32) int32 { return ord }
 
 // End returns the interval end of the node: the ordinal of the last node
 // in its subtree.
@@ -115,15 +120,21 @@ func (d *Doc) Level(ord int32) int32 { return d.c.level[ord] }
 // Parent returns the parent ordinal, -1 at the root.
 func (d *Doc) Parent(ord int32) int32 { return d.c.parent[ord] }
 
-// FirstChild returns the ordinal of the node's first child, -1 for leaves.
-func (d *Doc) FirstChild(ord int32) int32 { return d.c.firstChild[ord] }
+// FirstChild returns the ordinal of the node's first child, -1 for leaves:
+// in preorder it is the next ordinal whenever the interval is non-empty.
+func (d *Doc) FirstChild(ord int32) int32 {
+	if d.c.end[ord] > ord {
+		return ord + 1
+	}
+	return -1
+}
 
 // Kind returns the node kind (Element, Attribute or Text).
 func (d *Doc) Kind(ord int32) xmltree.Kind { return xmltree.Kind(d.c.kind[ord]) }
 
 // ID returns the node's interval identifier.
 func (d *Doc) ID(ord int32) xmltree.NodeID {
-	return xmltree.NodeID{Start: d.c.start[ord], End: d.c.end[ord], Level: d.c.level[ord]}
+	return xmltree.NodeID{Start: ord, End: d.c.end[ord], Level: d.c.level[ord]}
 }
 
 // TagID returns the tag dictionary ID of the node.
@@ -159,12 +170,8 @@ func (d *Doc) Content(ord int32) string {
 // Children returns the ordinals of the direct children of the node, in
 // document order.
 func (d *Doc) Children(ord int32) []int32 {
-	c := d.c.firstChild[ord]
-	if c < 0 {
-		return nil
-	}
 	var kids []int32
-	for end := d.c.end[ord]; c <= end; c = d.c.end[c] + 1 {
+	for c, end := ord+1, d.c.end[ord]; c <= end; c = d.c.end[c] + 1 {
 		kids = append(kids, c)
 	}
 	return kids
@@ -173,7 +180,7 @@ func (d *Doc) Children(ord int32) []int32 {
 // SubtreeSize returns the number of nodes in the subtree rooted at ord,
 // including the root itself.
 func (d *Doc) SubtreeSize(ord int32) int {
-	return int(d.c.end[ord] - d.c.start[ord] + 1)
+	return int(d.c.end[ord] - ord + 1)
 }
 
 // findDir binary-searches a directory for a dictionary ID.
@@ -248,19 +255,16 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 	sb.WriteString(tag)
 	// First pass over the children: attributes inline on the start tag.
 	end := d.c.end[ord]
-	first := d.c.firstChild[ord]
 	hasBody := false
-	if first >= 0 {
-		for c := first; c <= end; c = d.c.end[c] + 1 {
-			if xmltree.Kind(d.c.kind[c]) == xmltree.Attribute {
-				sb.WriteByte(' ')
-				sb.WriteString(d.Tag(c)[1:])
-				sb.WriteString(`="`)
-				xmltree.EscapeXML(sb, d.Value(c))
-				sb.WriteString(`"`)
-			} else {
-				hasBody = true
-			}
+	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
+		if xmltree.Kind(d.c.kind[c]) == xmltree.Attribute {
+			sb.WriteByte(' ')
+			sb.WriteString(d.Tag(c)[1:])
+			sb.WriteString(`="`)
+			xmltree.EscapeXML(sb, d.Value(c))
+			sb.WriteString(`"`)
+		} else {
+			hasBody = true
 		}
 	}
 	if !hasBody {
@@ -268,7 +272,7 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 		return
 	}
 	sb.WriteByte('>')
-	for c := first; c <= end; c = d.c.end[c] + 1 {
+	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
 		if xmltree.Kind(d.c.kind[c]) != xmltree.Attribute {
 			d.appendXML(sb, c)
 		}
@@ -289,14 +293,12 @@ func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *
 		id:    id,
 		shard: shardIdx,
 		c: cols{
-			start:      make([]int32, n),
-			end:        make([]int32, n),
-			level:      make([]int32, n),
-			parent:     make([]int32, n),
-			firstChild: make([]int32, n),
-			kind:       make([]uint8, n),
-			tag:        make([]uint32, n),
-			val:        make([]uint32, n),
+			end:    make([]int32, n),
+			level:  make([]int32, n),
+			parent: make([]int32, n),
+			kind:   make([]uint8, n),
+			tag:    make([]uint32, n),
+			val:    make([]uint32, n),
 		},
 		tags:    tags,
 		vals:    vals,
@@ -310,11 +312,9 @@ func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *
 	localValIdx := make(map[string]uint32)
 	for i := range doc.Nodes {
 		nd := &doc.Nodes[i]
-		d.c.start[i] = nd.ID.Start
 		d.c.end[i] = nd.ID.End
 		d.c.level[i] = nd.ID.Level
 		d.c.parent[i] = nd.Parent
-		d.c.firstChild[i] = nd.FirstChild
 		d.c.kind[i] = uint8(nd.Kind)
 
 		lt, ok := localTagIdx[nd.Tag]

@@ -22,9 +22,8 @@ func (d *Doc) Fingerprint() string {
 	n := int32(d.Len())
 	fmt.Fprintf(&sb, "doc %s nodes=%d\n", d.name, n)
 	for i := int32(0); i < n; i++ {
-		fmt.Fprintf(&sb, "n%d k=%d s=%d e=%d l=%d p=%d fc=%d tag=%s val=%q\n",
-			i, d.c.kind[i], d.c.start[i], d.c.end[i], d.c.level[i],
-			d.c.parent[i], d.c.firstChild[i], d.Tag(i), d.Content(i))
+		fmt.Fprintf(&sb, "n%d k=%d e=%d l=%d p=%d tag=%s val=%q\n",
+			i, d.c.kind[i], d.c.end[i], d.c.level[i], d.c.parent[i], d.Tag(i), d.Content(i))
 	}
 
 	writeIndex := func(label string, dir []dirEntry, dict *dict, refs func(uint32) []int32) {
@@ -79,8 +78,8 @@ func (d *Doc) Fingerprint() string {
 }
 
 // validateSplice is a structural self-check used by tests: it re-derives
-// the invariants decodeShard enforces (interval containment, levels,
-// firstChild) plus index/column agreement, returning the first violation.
+// the invariants decodeShard enforces (interval containment, levels)
+// plus index/column agreement, returning the first violation.
 func (d *Doc) validateSplice() error {
 	n := int32(d.Len())
 	if n == 0 {
@@ -90,9 +89,6 @@ func (d *Doc) validateSplice() error {
 		return fmt.Errorf("bad root record")
 	}
 	for i := int32(0); i < n; i++ {
-		if d.c.start[i] != i {
-			return fmt.Errorf("node %d: start %d", i, d.c.start[i])
-		}
 		if d.c.end[i] < i || d.c.end[i] >= n {
 			return fmt.Errorf("node %d: end %d", i, d.c.end[i])
 		}
@@ -106,13 +102,6 @@ func (d *Doc) validateSplice() error {
 			if d.c.level[i] != d.c.level[p]+1 {
 				return fmt.Errorf("node %d: level %d under parent level %d", i, d.c.level[i], d.c.level[p])
 			}
-		}
-		want := int32(-1)
-		if d.c.end[i] > i {
-			want = i + 1
-		}
-		if d.c.firstChild[i] != want {
-			return fmt.Errorf("node %d: firstChild %d, want %d", i, d.c.firstChild[i], want)
 		}
 	}
 	// Index agreement: every node appears exactly once under its tag, and

@@ -7,23 +7,28 @@ package store
 // parent element P, delete a contiguous run of whole sibling subtrees
 // [At, DelEnd) and/or insert one fragment subtree at position At. Because
 // the paper's interval node IDs make every structural relation a pure
-// function of (start, end, level), the spliced document is computed by
-// column arithmetic — survivors before the splice point keep their
-// ordinals, survivors after it shift by (inserted − deleted), ancestor
-// intervals stretch or shrink by the same amount, and levels never change
-// for survivors. Nothing is edited in place: BuildSplice produces a fresh
-// *Doc (a new version) and Commit swaps the copy-on-write directory entry,
-// so readers pinned on the old version keep a consistent view to
-// completion while writers never wait for them.
+// function of (ordinal, end, level), the spliced document is computed by
+// block copies — survivors before the splice point keep their ordinals,
+// survivors after it shift by (inserted − deleted), so each column is the
+// old prefix, the fragment and the old suffix, with one add loop over the
+// suffix's positional columns (end, parent) and an O(depth) walk that
+// stretches or shrinks the ancestor intervals. Nothing is edited in place:
+// BuildSplice produces a fresh *Doc (a new version) and Commit swaps the
+// copy-on-write directory entry, so readers pinned on the old version keep
+// a consistent view to completion while writers never wait for them.
 //
 // The tag/value postings indexes are maintained incrementally: for every
 // dictionary ID, the new postings list is the concatenation of the
 // unshifted prefix (< At), the fragment's ordinals ([At, At+m)), and the
-// shifted suffix (>= DelEnd) — a merge, never a rebuild from the columns.
-// The statistics catalog is maintained by delta counts: each deleted and
-// inserted node adjusts its tag cardinality, its parent pair and its
-// distinct-ancestor pairs by ±1; only the level bounds and distinct-value
-// counts of the touched tags are rescanned (they are extrema, not sums).
+// shifted suffix (>= DelEnd). Only the lists of IDs the splice deletes or
+// inserts are split; every other list keeps its length, so runs of them
+// are block-copied with the suffix shift applied in place.
+// The statistics catalog is maintained by exact deltas in the size of the
+// splice: each deleted and inserted node adjusts its tag cardinality, its
+// parent pair and its distinct-ancestor pairs by ±1; a (tag, value) pair
+// enters or leaves the distinct-value count exactly when the other
+// version holds no node with that tag and value; and a tag's level bounds
+// are rescanned only when a deleted node sat on one of them.
 //
 // One invariant keeps the arithmetic exact: a splice must not change the
 // concatenated text content of the parent P. Deleting an element between
@@ -34,8 +39,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"tlc/internal/faultinject"
@@ -133,49 +140,25 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 
 	delN := d1 - d0
 	shift := m - delN
-	n2 := n + shift
 	res.NodesRemoved, res.NodesAdded = int(delN), int(m)
 
-	// Ancestors of the splice point (P and up): the only survivors before
-	// At whose interval ends move.
-	isAnc := make([]bool, d0)
-	for a := P; a >= 0; a = d.c.parent[a] {
-		isAnc[a] = true
-	}
-
+	// Every column is prefix ++ fragment ++ suffix; levels, kinds, tags and
+	// values of survivors never change.
 	nd := &Doc{
 		name:  d.name,
 		id:    d.id,
 		shard: d.shard,
 		c: cols{
-			start:      make([]int32, n2),
-			end:        make([]int32, n2),
-			level:      make([]int32, n2),
-			parent:     make([]int32, n2),
-			firstChild: make([]int32, n2),
-			kind:       make([]uint8, n2),
-			tag:        make([]uint32, n2),
-			val:        make([]uint32, n2),
+			end:    spliceCol(d.c.end, d0, d1, m),
+			level:  spliceCol(d.c.level, d0, d1, m),
+			parent: spliceCol(d.c.parent, d0, d1, m),
+			kind:   spliceCol(d.c.kind, d0, d1, m),
+			tag:    spliceCol(d.c.tag, d0, d1, m),
+			val:    spliceCol(d.c.val, d0, d1, m),
 		},
 		tags:    d.tags,
 		vals:    d.vals,
 		version: d.version + 1,
-	}
-
-	// Prefix: ordinals below the splice point are stable; only ancestor
-	// interval ends (and ends at or past the deleted range) move.
-	for j := int32(0); j < d0; j++ {
-		e := d.c.end[j]
-		if isAnc[j] || e >= d1 {
-			e += shift
-		}
-		nd.c.start[j] = j
-		nd.c.end[j] = e
-		nd.c.level[j] = d.c.level[j]
-		nd.c.parent[j] = d.c.parent[j]
-		nd.c.kind[j] = d.c.kind[j]
-		nd.c.tag[j] = d.c.tag[j]
-		nd.c.val[j] = d.c.val[j]
 	}
 
 	// Fragment: local preorder shifted to [At, At+m), levels rebased under
@@ -220,7 +203,6 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 		for k := int32(0); k < m; k++ {
 			fn := &op.Frag.Nodes[k]
 			j := d0 + k
-			nd.c.start[j] = j
 			nd.c.end[j] = fn.ID.End + d0
 			nd.c.level[j] = fn.ID.Level + baseLevel
 			if fn.Parent < 0 {
@@ -236,29 +218,20 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 		}
 	}
 
-	// Suffix: everything at or past the deleted range shifts as a block.
-	for j := d1; j < n; j++ {
-		j2 := j + shift
-		pp := d.c.parent[j]
-		if pp >= d1 {
-			pp += shift
+	// Positions: the suffix shifts as a block (its parents too, unless the
+	// parent is an ancestor before the splice point), and the ancestors of
+	// the splice point (P and up) are the only earlier nodes whose
+	// intervals move.
+	if shift != 0 {
+		end, parent := nd.c.end[d0+m:], nd.c.parent[d0+m:]
+		for k := range end {
+			end[k] += shift
+			if parent[k] >= d1 {
+				parent[k] += shift
+			}
 		}
-		nd.c.start[j2] = j2
-		nd.c.end[j2] = d.c.end[j] + shift
-		nd.c.level[j2] = d.c.level[j]
-		nd.c.parent[j2] = pp
-		nd.c.kind[j2] = d.c.kind[j]
-		nd.c.tag[j2] = d.c.tag[j]
-		nd.c.val[j2] = d.c.val[j]
-	}
-
-	// firstChild is derivable in preorder: the first child of any interior
-	// node is the next ordinal.
-	for i := int32(0); i < n2; i++ {
-		if nd.c.end[i] > i {
-			nd.c.firstChild[i] = i + 1
-		} else {
-			nd.c.firstChild[i] = -1
+		for a := P; a >= 0; a = nd.c.parent[a] {
+			nd.c.end[a] += shift
 		}
 	}
 
@@ -270,8 +243,8 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	}
 
 	// Incremental index maintenance: merge, never rebuild.
-	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, nd.c.tag, 0, d0, d1, m, shift)
-	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, nd.c.val, 1, d0, d1, m, shift)
+	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m)
+	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m)
 
 	// Incremental statistics: delta counts against the old catalog.
 	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
@@ -281,14 +254,19 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	return nd, res, nil
 }
 
+// spliceCol returns old[:d0] ++ m zero entries ++ old[d1:] as two block
+// copies; the caller fills the fragment entries.
+func spliceCol[T int32 | uint32 | uint8](old []T, d0, d1, m int32) []T {
+	out := make([]T, int32(len(old))+m-(d1-d0))
+	copy(out, old[:d0])
+	copy(out[d0+m:], old[d1:])
+	return out
+}
+
 // textConcat returns the concatenated direct text children of p.
 func textConcat(c *cols, vals *dict, p int32) string {
-	fc := c.firstChild[p]
-	if fc < 0 {
-		return ""
-	}
 	var sb strings.Builder
-	for ch := fc; ch <= c.end[p]; ch = c.end[ch] + 1 {
+	for ch := p + 1; ch <= c.end[p]; ch = c.end[ch] + 1 {
 		if xmltree.Kind(c.kind[ch]) == xmltree.Text {
 			sb.WriteString(vals.str(c.val[ch] - 1))
 		}
@@ -297,129 +275,177 @@ func textConcat(c *cols, vals *dict, p int32) string {
 }
 
 // spliceIndex produces the postings index of the spliced document from
-// the old index and the new column. For every dictionary ID the new list
-// is prefix (old ordinals < d0, unshifted) ++ fragment ordinals
-// ([d0, d0+m), read from the new column) ++ suffix (old ordinals >= d1,
-// shifted) — each part is already sorted and the parts are disjoint
-// ascending ranges, so the merge is pure concatenation. Directory entries
-// that end up empty are dropped, exactly as a fresh build would never
-// create them.
-func spliceIndex(oldDir []dirEntry, oldPost []int32, newCol []uint32, bias uint32, d0, d1, m, shift int32) ([]dirEntry, []int32) {
+// the old index and the old and new columns. bias is the column's ID
+// offset (1 for the value column, where 0 means "no entry"). For every
+// dictionary ID the new list is prefix (old ordinals < d0, unshifted) ++
+// fragment ordinals ([d0, d0+m)) ++ suffix (old ordinals >= d1, shifted).
+// Only the touched IDs — those of deleted or inserted nodes — are split;
+// every other list has no ordinal in [d0, d1) and keeps its length, so a
+// run of them that is contiguous in the old postings is one block copy
+// with the shift added to its suffix ordinals. Directory entries that end
+// up empty are dropped, exactly as a fresh build would never create them.
+func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m int32) ([]dirEntry, []int32) {
+	shift := m - (d1 - d0)
 	frag := make(map[uint32][]int32)
-	var fragIDs []uint32
-	for k := int32(0); k < m; k++ {
-		v := newCol[d0+k]
-		if v < bias {
-			continue // val column: 0 means "no content"
+	var touched []uint32
+	size := 0
+	for _, v := range oldCol[d0:d1] {
+		if v >= bias {
+			touched = append(touched, v-bias)
+			size--
 		}
-		id := v - bias
-		if _, ok := frag[id]; !ok {
-			fragIDs = append(fragIDs, id)
-		}
-		frag[id] = append(frag[id], d0+k)
 	}
-	sort.Slice(fragIDs, func(i, j int) bool { return fragIDs[i] < fragIDs[j] })
+	for k := int32(0); k < m; k++ {
+		if v := newCol[d0+k]; v >= bias {
+			touched = append(touched, v-bias)
+			frag[v-bias] = append(frag[v-bias], d0+k)
+			size++
+		}
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	for _, e := range oldDir {
+		size += int(e.n)
+	}
 
-	dir := make([]dirEntry, 0, len(oldDir)+len(fragIDs))
-	post := make([]int32, 0, len(oldPost)+int(m))
-	emit := func(id uint32, pre, ins, suf []int32) {
-		total := len(pre) + len(ins) + len(suf)
+	dir := make([]dirEntry, 0, len(oldDir)+len(frag))
+	post := make([]int32, 0, size)
+	i := 0
+	// copyBelow copies the untouched lists with IDs below id, one block
+	// per run of lists contiguous in oldPost.
+	copyBelow := func(id uint64) {
+		for i < len(oldDir) && uint64(oldDir[i].id) < id {
+			k := i + 1
+			for k < len(oldDir) && uint64(oldDir[k].id) < id && oldDir[k].off == oldDir[k-1].off+oldDir[k-1].n {
+				k++
+			}
+			lo, hi := oldDir[i].off, oldDir[k-1].off+oldDir[k-1].n
+			rebase := uint32(len(post)) - lo // modular: off+rebase is the new offset
+			n := len(dir)
+			dir = append(dir, oldDir[i:k]...)
+			for j := range dir[n:] {
+				dir[n+j].off += rebase
+			}
+			post = appendShifted(post, oldPost[lo:hi], d1, shift)
+			i = k
+		}
+	}
+	for _, id := range touched {
+		copyBelow(uint64(id))
+		var refs []int32
+		if i < len(oldDir) && oldDir[i].id == id {
+			e := oldDir[i]
+			refs = oldPost[e.off : e.off+e.n]
+			i++
+		}
+		lo, _ := slices.BinarySearch(refs, d0)
+		hi, _ := slices.BinarySearch(refs, d1)
+		ins := frag[id]
+		total := lo + len(ins) + len(refs) - hi
 		if total == 0 {
-			return
+			continue
 		}
 		dir = append(dir, dirEntry{id: id, off: uint32(len(post)), n: uint32(total)})
-		post = append(post, pre...)
+		post = append(post, refs[:lo]...)
 		post = append(post, ins...)
-		for _, r := range suf {
-			post = append(post, r+shift)
-		}
+		post = appendShifted(post, refs[hi:], d1, shift)
 	}
-	i, j := 0, 0
-	for i < len(oldDir) || j < len(fragIDs) {
-		switch {
-		case j >= len(fragIDs) || (i < len(oldDir) && oldDir[i].id < fragIDs[j]):
-			e := oldDir[i]
-			refs := oldPost[e.off : e.off+e.n]
-			lo := sort.Search(len(refs), func(k int) bool { return refs[k] >= d0 })
-			hi := sort.Search(len(refs), func(k int) bool { return refs[k] >= d1 })
-			emit(e.id, refs[:lo], nil, refs[hi:])
-			i++
-		case i >= len(oldDir) || oldDir[i].id > fragIDs[j]:
-			emit(fragIDs[j], nil, frag[fragIDs[j]], nil)
-			j++
-		default:
-			e := oldDir[i]
-			refs := oldPost[e.off : e.off+e.n]
-			lo := sort.Search(len(refs), func(k int) bool { return refs[k] >= d0 })
-			hi := sort.Search(len(refs), func(k int) bool { return refs[k] >= d1 })
-			emit(e.id, refs[:lo], frag[e.id], refs[hi:])
-			i++
-			j++
-		}
-	}
+	copyBelow(math.MaxUint32 + 1)
 	return dir, post
 }
 
+// appendShifted appends block to post, adding shift to every ordinal at or
+// past from.
+func appendShifted(post, block []int32, from, shift int32) []int32 {
+	k := len(post)
+	post = slices.Grow(post, len(block))[:k+len(block)]
+	out := post[k:]
+	for j, r := range block {
+		// (from-1-r)>>31 is all ones exactly when r >= from: branch-free,
+		// because short postings lists make the branch unpredictable.
+		out[j] = r + shift&((from-1-r)>>31)
+	}
+	return post
+}
+
 // spliceStats produces the spliced document's catalog from the old one by
-// delta counts: every deleted node subtracts, every inserted node adds,
-// its tag cardinality, its (parentTag, tag) child pair, its parent tag's
-// child total, and one (ancestorTag, tag) pair per distinct ancestor tag.
-// Level bounds and distinct-value counts are extrema, not sums, so they
-// are rescanned — but only over the postings of the touched tags. The
-// second result counts the individual adjustments applied.
+// exact deltas, in time proportional to the splice (times depth), not the
+// document:
+//
+//   - every deleted node subtracts, every inserted node adds, its tag
+//     cardinality, its (parentTag, tag) child pair, its parent tag's child
+//     total, and one (ancestorTag, tag) pair per distinct ancestor tag;
+//   - a (tag, value) pair of a deleted node leaves the tag's distinct-value
+//     count when the new version holds no node with that tag and value, and
+//     a pair of an inserted node enters it when the old version held none;
+//   - inserted levels widen a tag's level bounds; a deleted node on a
+//     bound triggers a rescan of that bound over the tag's postings, which
+//     stops as soon as it meets the widest value the bound can take.
+//
+// The second result counts the individual count adjustments applied.
 func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
 	os := old.stats
 	st := &docStats{
 		rootTag: os.rootTag,
 		nodes:   os.nodes + int(m) - int(d1-d0),
-		depth:   os.depth,
-		tags:    make(map[uint32]TagStats, len(os.tags)),
-		child:   make(map[idPair]int, len(os.child)),
-		desc:    make(map[idPair]int, len(os.desc)),
-	}
-	for k, v := range os.tags {
-		st.tags[k] = v
-	}
-	for k, v := range os.child {
-		st.child[k] = v
-	}
-	for k, v := range os.desc {
-		st.desc[k] = v
+		tags:    maps.Clone(os.tags),
+		child:   maps.Clone(os.child),
+		desc:    maps.Clone(os.desc),
 	}
 
+	type tagVal struct{ tag, val uint32 }
+	gone := make(map[tagVal]struct{})  // (tag, value) pairs of deleted nodes
+	came := make(map[tagVal]struct{})  // (tag, value) pairs of inserted nodes
+	rescan := make(map[uint32][2]bool) // tag -> (MinLevel, MaxLevel) to rescan
 	deltas := 0
-	affected := make(map[uint32]bool)
+	addPair := func(pairs map[idPair]int, k idPair, sign int) {
+		if v := pairs[k] + sign; v == 0 {
+			delete(pairs, k)
+		} else {
+			pairs[k] = v
+		}
+		deltas++
+	}
 	seen := make([]uint32, 0, 16)
 	apply := func(c *cols, i int32, sign int) {
-		tag := c.tag[i]
-		affected[tag] = true
+		tag, lvl := c.tag[i], c.level[i]
 		ts := st.tags[tag]
+		if sign < 0 {
+			if lvl == ts.MinLevel || lvl == ts.MaxLevel {
+				r := rescan[tag]
+				r[0] = r[0] || lvl == ts.MinLevel
+				r[1] = r[1] || lvl == ts.MaxLevel
+				rescan[tag] = r
+			}
+		} else if ts.Count == 0 {
+			ts.MinLevel, ts.MaxLevel = lvl, lvl
+		} else {
+			ts.MinLevel, ts.MaxLevel = min(ts.MinLevel, lvl), max(ts.MaxLevel, lvl)
+		}
 		ts.Count += sign
 		st.tags[tag] = ts
 		deltas++
+		if v := c.val[i]; v != 0 {
+			if sign < 0 {
+				gone[tagVal{tag, v}] = struct{}{}
+			} else {
+				came[tagVal{tag, v}] = struct{}{}
+			}
+		}
 		p := c.parent[i] // never -1: the root cannot be spliced out
 		ptag := c.tag[p]
-		st.child[idPair{ptag, tag}] += sign
+		addPair(st.child, idPair{ptag, tag}, sign)
 		pts := st.tags[ptag]
 		pts.Children += sign
 		st.tags[ptag] = pts
-		deltas += 2
+		deltas++
 		seen = seen[:0]
 		for a := p; a >= 0; a = c.parent[a] {
 			atag := c.tag[a]
-			dup := false
-			for _, s := range seen {
-				if s == atag {
-					dup = true
-					break
-				}
+			if !slices.Contains(seen, atag) {
+				seen = append(seen, atag)
+				addPair(st.desc, idPair{atag, tag}, sign)
 			}
-			if dup {
-				continue
-			}
-			seen = append(seen, atag)
-			st.desc[idPair{atag, tag}] += sign
-			deltas++
 		}
 	}
 	for i := d0; i < d1; i++ {
@@ -429,50 +455,72 @@ func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
 		apply(&nd.c, d0+k, +1)
 	}
 
-	// Extrema and distinct counts of the touched tags, from the already
-	// spliced index.
-	for t := range affected {
-		refs := nd.tagRefs(t)
-		if len(refs) == 0 {
-			delete(st.tags, t)
+	for p := range gone {
+		if !hasTagValue(nd, p.tag, p.val) {
+			ts := st.tags[p.tag]
+			ts.Distinct--
+			st.tags[p.tag] = ts
+		}
+	}
+	for p := range came {
+		if !hasTagValue(old, p.tag, p.val) {
+			ts := st.tags[p.tag]
+			ts.Distinct++
+			st.tags[p.tag] = ts
+		}
+	}
+	for t, r := range rescan {
+		ts := st.tags[t]
+		if ts.Count == 0 {
 			continue
 		}
-		ts := st.tags[t]
-		minL, maxL := nd.c.level[refs[0]], nd.c.level[refs[0]]
-		distinct := make(map[uint32]struct{})
-		for _, r := range refs {
-			if l := nd.c.level[r]; l < minL {
-				minL = l
-			}
-			if l := nd.c.level[r]; l > maxL {
-				maxL = l
-			}
-			if v := nd.c.val[r]; v != 0 {
-				distinct[v] = struct{}{}
+		// The bounds held so far are the widest the new ones can be: no
+		// survivor lies outside the old bounds, and inserts widened them.
+		lo, hi := ts.MinLevel, ts.MaxLevel
+		if r[0] {
+			ts.MinLevel = hi
+		}
+		if r[1] {
+			ts.MaxLevel = lo
+		}
+		for _, ord := range nd.tagRefs(t) {
+			l := nd.c.level[ord]
+			ts.MinLevel, ts.MaxLevel = min(ts.MinLevel, l), max(ts.MaxLevel, l)
+			if ts.MinLevel == lo && ts.MaxLevel == hi {
+				break
 			}
 		}
-		ts.MinLevel, ts.MaxLevel = minL, maxL
-		ts.Distinct = len(distinct)
 		st.tags[t] = ts
 	}
-	depth := int32(0)
-	for _, ts := range st.tags {
-		if ts.MaxLevel > depth {
-			depth = ts.MaxLevel
-		}
-	}
-	st.depth = depth
-	for k, v := range st.child {
-		if v <= 0 {
-			delete(st.child, k)
-		}
-	}
-	for k, v := range st.desc {
-		if v <= 0 {
-			delete(st.desc, k)
+	for t, ts := range st.tags {
+		if ts.Count == 0 {
+			delete(st.tags, t)
+		} else if ts.MaxLevel > st.depth {
+			st.depth = ts.MaxLevel
 		}
 	}
 	return st, deltas
+}
+
+// hasTagValue reports whether d holds a node with tag dictionary ID tag
+// and value column entry val, scanning the shorter of the two postings
+// lists.
+func hasTagValue(d *Doc, tag, val uint32) bool {
+	tr, vr := d.tagRefs(tag), d.valueRefs(val-1)
+	if len(tr) <= len(vr) {
+		for _, r := range tr {
+			if d.c.val[r] == val {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range vr {
+		if d.c.tag[r] == tag {
+			return true
+		}
+	}
+	return false
 }
 
 // Commit publishes nd as the new version of old: the directory entry is

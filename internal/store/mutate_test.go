@@ -2,7 +2,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"tlc/internal/faultinject"
@@ -438,6 +440,165 @@ func TestMutateFaultInjection(t *testing.T) {
 	checkOracle(t, s.Doc(id))
 }
 
+// TestSpliceDistinctTransitions pins the exact distinct-value delta: a
+// (tag, value) pair enters the count only with its first holder and
+// leaves it only with its last.
+func TestSpliceDistinctTransitions(t *testing.T) {
+	s, id := load(t)
+	cat := s.Catalog()
+	apply := func(op func(d *Doc) SpliceOp) {
+		t.Helper()
+		d := s.Doc(id)
+		nd, _, err := s.BuildSplice(d, op(d))
+		if err != nil {
+			t.Fatalf("BuildSplice: %v", err)
+		}
+		if err := s.Commit(d, nd); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		checkOracle(t, nd)
+	}
+	insertInto := func(tag string, k int, xml string) {
+		t.Helper()
+		apply(func(d *Doc) SpliceOp {
+			p := ordOf(t, s, id, tag, k)
+			at := d.End(p) + 1
+			return SpliceOp{Parent: p, At: at, DelEnd: at, Frag: mustFrag(t, xml)}
+		})
+	}
+	deleteNode := func(tag string, k int) {
+		t.Helper()
+		apply(func(d *Doc) SpliceOp {
+			c := ordOf(t, s, id, tag, k)
+			return SpliceOp{Parent: d.Parent(c), At: c, DelEnd: d.End(c) + 1}
+		})
+	}
+	distinct := func(tag string, want int) {
+		t.Helper()
+		if got := cat.Tag(id, tag).Distinct; got != want {
+			t.Fatalf("Distinct(%s) = %d, want %d", tag, got, want)
+		}
+	}
+
+	distinct("age", 1) // "30" twice
+	insertInto("person", 0, `<age>30</age>`)
+	distinct("age", 1) // an existing pair: no entry
+	insertInto("person", 1, `<age>31</age>`)
+	distinct("age", 2) // a new pair enters
+	deleteNode("age", 0)
+	distinct("age", 2) // "30" still has holders
+	deleteNode("age", 2)
+	distinct("age", 1) // the last "31" left
+	distinct("name", 2)
+	deleteNode("name", 1)
+	distinct("name", 1)  // the last "Bob" left
+	distinct("#text", 4) // Alice, 30, 3, 5
+}
+
+// TestSpliceLevelBoundRescan deletes nodes sitting on their tag's level
+// bounds: the bound must be rescanned to the survivors' extremum.
+func TestSpliceLevelBoundRescan(t *testing.T) {
+	s, id := load(t)
+	cat := s.Catalog()
+	levels := func(tag string, lo, hi int32) {
+		t.Helper()
+		if ts := cat.Tag(id, tag); ts.MinLevel != lo || ts.MaxLevel != hi {
+			t.Fatalf("%s levels = [%d, %d], want [%d, %d]", tag, ts.MinLevel, ts.MaxLevel, lo, hi)
+		}
+	}
+	commit := func(op SpliceOp) {
+		t.Helper()
+		d := s.Doc(id)
+		nd, _, err := s.BuildSplice(d, op)
+		if err != nil {
+			t.Fatalf("BuildSplice: %v", err)
+		}
+		if err := s.Commit(d, nd); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		checkOracle(t, nd)
+	}
+	levels("#text", 4, 5)
+
+	// A text under the root lowers MinLevel; deleting it must rescan back.
+	d := s.Doc(id)
+	at := d.End(0) + 1
+	commit(SpliceOp{Parent: 0, At: at, DelEnd: at, Frag: mustFrag(t, `<note>x</note>`)})
+	levels("#text", 2, 5)
+	note := ordOf(t, s, id, "note", 0)
+	commit(SpliceOp{Parent: 0, At: note, DelEnd: s.Doc(id).End(note) + 1})
+	levels("#text", 4, 5)
+
+	// The open auction holds every level-5 text (the increases): deleting
+	// it lowers MaxLevel.
+	d = s.Doc(id)
+	oa := ordOf(t, s, id, "open_auction", 0)
+	commit(SpliceOp{Parent: d.Parent(oa), At: oa, DelEnd: d.End(oa) + 1})
+	levels("#text", 4, 4)
+}
+
+// TestMutateConcurrentIntern: lock-free readers resolve strings and IDs
+// while a writer interns one string at a time, as updates do, across
+// several table rehashes. Strings interned before the readers started
+// must always resolve to their IDs, and any string a reader finds must
+// round-trip through str. Meant to run under -race.
+func TestMutateConcurrentIntern(t *testing.T) {
+	d := newDict()
+	base := make([]string, 100)
+	for i := range base {
+		base[i] = fmt.Sprintf("base-%d", i)
+	}
+	baseIDs := d.internAll(base)
+	const added = 5000
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				b := base[k%len(base)]
+				if id, ok := d.lookup(b); !ok || id != baseIDs[k%len(base)] || d.str(id) != b {
+					errs <- fmt.Errorf("reader %d: lookup(%q) = %d, %v", r, b, id, ok)
+					return
+				}
+				n := fmt.Sprintf("new-%d", (k*7+r)%added)
+				if id, ok := d.lookup(n); ok && d.str(id) != n {
+					errs <- fmt.Errorf("reader %d: lookup(%q) = %d, which is %q", r, n, id, d.str(id))
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < added; i++ {
+		n := fmt.Sprintf("new-%d", i)
+		id := d.internAll([]string{n})[0]
+		if got, ok := d.lookup(n); !ok || got != id {
+			t.Fatalf("lookup(%q) = %d, %v after interning as %d", n, got, ok, id)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := d.size(); got != len(base)+added {
+		t.Fatalf("size = %d, want %d", got, len(base)+added)
+	}
+	// Re-interning is idempotent, duplicates in one batch share an ID.
+	ids := d.internAll([]string{"base-0", "new-0", "fresh", "fresh"})
+	if ids[0] != baseIDs[0] || ids[1] != uint32(len(base)) || ids[2] != ids[3] || d.size() != len(base)+added+1 {
+		t.Fatalf("re-intern = %v, size %d", ids, d.size())
+	}
+}
+
 // FuzzMutate drives random valid insert/delete/replace sequences against
 // the store and checks after every commit that the spliced document is
 // byte-for-byte semantically identical (columns, indexes, statistics) to
@@ -446,11 +607,18 @@ func FuzzMutate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 23})
 	f.Add([]byte{200, 3, 17, 42, 250, 1, 7, 99, 128, 64, 32, 16, 8, 4, 2, 1})
+	// Besides fresh content, the fragments repeat values their tags already
+	// hold in sampleXML (name "Alice", age "30"), so inserts and deletes
+	// cross both distinct-value transitions (a pair's first and last
+	// holder); the nested one moves the #text level bounds both ways.
 	fragments := []string{
 		`<person id="f0"><name>Fuzz</name></person>`,
 		`<extra/>`,
 		`<bidder><personref person="p9"/><increase>1</increase></bidder>`,
 		`<note lang="en">hi</note>`,
+		`<name>Alice</name>`,
+		`<age>30</age>`,
+		`<x><y><z>deep</z></y></x>`,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()

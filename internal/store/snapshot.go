@@ -22,7 +22,7 @@ import (
 // Every file is a 48-byte header followed by a checksummed payload:
 //
 //	[0:8)   magic ("TLCSNAP1" / "TLCMANI1")
-//	[8:12)  format version (1)
+//	[8:12)  format version (2)
 //	[12:16) byte-order marker 0x01020304, written in native order
 //	[16:20) shard index (0xFFFFFFFF in the manifest)
 //	[20:24) shard count
@@ -31,17 +31,22 @@ import (
 //	[32:40) payload length
 //	[40:48) CRC-64/ECMA of the payload
 //
+// Version 2 dropped the start and first-child columns, which preorder
+// derives (start is the ordinal; the first child is the next ordinal when
+// the interval is non-empty); a version 1 file is rejected with
+// ErrSnapshotVersion, and rewriting it means reloading its documents.
+//
 // The update generation records how many mutations had been committed
-// into the store when the snapshot was written (word [28:32) was reserved
-// as zero before MVCC updates existed, so the format version is
-// unchanged). SnapshotUpdateGen reads it back without decoding the
-// payload; comparing it against Store.UpdateGeneration detects a snapshot
-// that has gone stale relative to a store that kept taking writes. Each
+// into the store when the snapshot was written (word [28:32), reserved as
+// zero before MVCC updates existed). SnapshotUpdateGen reads it back
+// without decoding the payload; comparing it against
+// Store.UpdateGeneration detects a snapshot that has gone stale relative
+// to a store that kept taking writes. Each
 // document record likewise carries its MVCC version in the previously
 // reserved Res0 word (0 in old snapshots, read back as version 1), so a
 // snapshot written after updates round-trips the version chain.
 //
-// The shard payload opens with a fixed section table (21 entries of
+// The shard payload opens with a fixed section table (19 entries of
 // {offset, length}, offsets 8-byte aligned) locating the columns, the
 // index directories and postings, the dictionary string blobs, and the
 // flattened statistics records; the document records tie per-document
@@ -81,11 +86,11 @@ var (
 const (
 	snapMagic   = "TLCSNAP1"
 	maniMagic   = "TLCMANI1"
-	snapVersion = 1
+	snapVersion = 2
 	orderMarker = 0x01020304
 
 	headerSize  = 48
-	numSections = 21
+	numSections = 19
 
 	manifestName = "manifest.tlcm"
 )
@@ -94,11 +99,9 @@ const (
 const (
 	secDocs = iota
 	secNames
-	secStart
 	secEnd
 	secLevel
 	secParent
-	secFirstChild
 	secKind
 	secTag
 	secVal
@@ -394,15 +397,15 @@ func (w *dictWriter) encode() ([]uint32, []byte) {
 // encodeShard flattens a shard's documents into one payload.
 func encodeShard(docs []*Doc) []byte {
 	var (
-		recs                             []docRec
-		names                            []byte
-		start, end, level, parent, first []int32
-		kind                             []uint8
-		tagCol, valCol                   []uint32
-		tagDir, valDir                   []dirEntry
-		tagPost, valPost                 []int32
-		statRecs                         []tagStatRec
-		childPairs, descPairs            []pairRec
+		recs                  []docRec
+		names                 []byte
+		end, level, parent    []int32
+		kind                  []uint8
+		tagCol, valCol        []uint32
+		tagDir, valDir        []dirEntry
+		tagPost, valPost      []int32
+		statRecs              []tagStatRec
+		childPairs, descPairs []pairRec
 	)
 	tagW, valW := newDictWriter(), newDictWriter()
 	tagCache := make(map[*dict][]uint32)
@@ -413,16 +416,14 @@ func encodeShard(docs []*Doc) []byte {
 		rv := valW.remap(valCache, doc.vals)
 		rec := docRec{
 			NameOff: uint32(len(names)), NameLen: uint32(len(doc.name)),
-			Base: uint32(len(start)), Nodes: uint32(doc.Len()),
+			Base: uint32(len(end)), Nodes: uint32(doc.Len()),
 			RootTag: rt[doc.stats.rootTag], Depth: doc.stats.depth,
-			Res0:    uint32(doc.version),
+			Res0: uint32(doc.version),
 		}
 		names = append(names, doc.name...)
-		start = append(start, doc.c.start...)
 		end = append(end, doc.c.end...)
 		level = append(level, doc.c.level...)
 		parent = append(parent, doc.c.parent...)
-		first = append(first, doc.c.firstChild...)
 		kind = append(kind, doc.c.kind...)
 		for _, t := range doc.c.tag {
 			tagCol = append(tagCol, rt[t])
@@ -476,11 +477,9 @@ func encodeShard(docs []*Doc) []byte {
 	a := newAssembler()
 	a.add(rawBytes(recs))       // secDocs
 	a.add(names)                // secNames
-	a.add(rawBytes(start))      // secStart
 	a.add(rawBytes(end))        // secEnd
 	a.add(rawBytes(level))      // secLevel
 	a.add(rawBytes(parent))     // secParent
-	a.add(rawBytes(first))      // secFirstChild
 	a.add(kind)                 // secKind
 	a.add(rawBytes(tagCol))     // secTag
 	a.add(rawBytes(valCol))     // secVal
@@ -639,29 +638,27 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 	if uint32(len(recs)) != h.docCount {
 		return nil, fmt.Errorf("%w: %s has %d doc records, header says %d", ErrSnapshotCorrupt, what, len(recs), h.docCount)
 	}
-	start, err1 := rawView[int32](raw[secStart])
-	end, err2 := rawView[int32](raw[secEnd])
-	level, err3 := rawView[int32](raw[secLevel])
-	parent, err4 := rawView[int32](raw[secParent])
-	first, err5 := rawView[int32](raw[secFirstChild])
-	tagCol, err6 := rawView[uint32](raw[secTag])
-	valCol, err7 := rawView[uint32](raw[secVal])
-	tagDir, err8 := rawView[dirEntry](raw[secTagDir])
-	valDir, err9 := rawView[dirEntry](raw[secValDir])
-	tagPost, err10 := rawView[int32](raw[secTagPost])
-	valPost, err11 := rawView[int32](raw[secValPost])
-	statRecs, err12 := rawView[tagStatRec](raw[secTagStats])
-	childPairs, err13 := rawView[pairRec](raw[secChildPairs])
-	descPairs, err14 := rawView[pairRec](raw[secDescPairs])
-	for _, e := range []error{err1, err2, err3, err4, err5, err6, err7, err8, err9, err10, err11, err12, err13, err14} {
+	end, err1 := rawView[int32](raw[secEnd])
+	level, err2 := rawView[int32](raw[secLevel])
+	parent, err3 := rawView[int32](raw[secParent])
+	tagCol, err4 := rawView[uint32](raw[secTag])
+	valCol, err5 := rawView[uint32](raw[secVal])
+	tagDir, err6 := rawView[dirEntry](raw[secTagDir])
+	valDir, err7 := rawView[dirEntry](raw[secValDir])
+	tagPost, err8 := rawView[int32](raw[secTagPost])
+	valPost, err9 := rawView[int32](raw[secValPost])
+	statRecs, err10 := rawView[tagStatRec](raw[secTagStats])
+	childPairs, err11 := rawView[pairRec](raw[secChildPairs])
+	descPairs, err12 := rawView[pairRec](raw[secDescPairs])
+	for _, e := range []error{err1, err2, err3, err4, err5, err6, err7, err8, err9, err10, err11, err12} {
 		if e != nil {
 			return nil, e
 		}
 	}
 	kind := raw[secKind]
-	rows := len(start)
-	if len(end) != rows || len(level) != rows || len(parent) != rows ||
-		len(first) != rows || len(kind) != rows || len(tagCol) != rows || len(valCol) != rows {
+	rows := len(end)
+	if len(level) != rows || len(parent) != rows ||
+		len(kind) != rows || len(tagCol) != rows || len(valCol) != rows {
 		return nil, fmt.Errorf("%w: %s column lengths disagree", ErrSnapshotCorrupt, what)
 	}
 
@@ -724,14 +721,12 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 			shard:   wantShard,
 			version: version,
 			c: cols{
-				start:      start[base : base+n],
-				end:        end[base : base+n],
-				level:      level[base : base+n],
-				parent:     parent[base : base+n],
-				firstChild: first[base : base+n],
-				kind:       kind[base : base+n],
-				tag:        tagCol[base : base+n],
-				val:        valCol[base : base+n],
+				end:    end[base : base+n],
+				level:  level[base : base+n],
+				parent: parent[base : base+n],
+				kind:   kind[base : base+n],
+				tag:    tagCol[base : base+n],
+				val:    valCol[base : base+n],
 			},
 			tagDir:  tagDir[rec.TagDirOff : rec.TagDirOff+rec.TagDirN],
 			valDir:  valDir[rec.ValDirOff : rec.ValDirOff+rec.ValDirN],
@@ -744,10 +739,8 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 		// escape the document, whatever the file claims.
 		nn := int32(n)
 		for i := int32(0); i < nn; i++ {
-			if d.c.start[i] != i ||
-				d.c.end[i] < i || d.c.end[i] >= nn ||
+			if d.c.end[i] < i || d.c.end[i] >= nn ||
 				d.c.parent[i] < -1 || d.c.parent[i] >= nn ||
-				d.c.firstChild[i] < -1 || d.c.firstChild[i] >= nn ||
 				d.c.level[i] < 0 ||
 				int(d.c.tag[i]) >= nTags ||
 				int(d.c.val[i]) > nVals {

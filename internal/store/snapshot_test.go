@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -264,6 +265,29 @@ func TestSnapshotVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[8]++ // version field, first byte in either byte order
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSnapshot(dir)
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// TestSnapshotV1Rejected: a version 1 file (which still carried the
+// start and first-child columns) is refused with the typed version error.
+func TestSnapshotV1Rejected(t *testing.T) {
+	s := loadSnapDocs(t, 1)
+	dir := t.TempDir()
+	if _, err := s.WriteSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := snapshotShardFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.NativeEndian.PutUint32(data[8:], 1)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

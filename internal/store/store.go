@@ -1,7 +1,7 @@
 // Package store implements the native XML store that all four evaluation
 // engines (TLC, GTP, TAX, navigational) run against. It stands in for the
 // disk-based TIMBER storage manager used in the paper: documents are held
-// as columnar node tables (flat start/end/level/parent/tag/value arrays
+// as columnar node tables (flat end/level/parent/kind/tag/value arrays
 // with dictionary-encoded strings — see columns.go), and the store
 // maintains the two index structures the paper's experiments rely on — an
 // element tag-name index (tag → node ordinals in document order) and a
@@ -531,7 +531,7 @@ func (s *Store) Tag(id DocID, tag string) []int32 {
 func (s *Store) TagWithin(id DocID, tag string, ancestor int32) []int32 {
 	d := s.entry(id)
 	refs := d.tagRefsByName(tag)
-	start, end := d.c.start[ancestor], d.c.end[ancestor]
+	start, end := ancestor, d.c.end[ancestor]
 	lo := sort.Search(len(refs), func(i int) bool { return refs[i] > start })
 	hi := sort.Search(len(refs), func(i int) bool { return refs[i] > end })
 	if !s.noStats {
@@ -610,7 +610,7 @@ func (s *Store) Node(id DocID, ord int32) NodeData {
 		Tag:        d.Tag(ord),
 		Value:      d.Value(ord),
 		Parent:     d.c.parent[ord],
-		FirstChild: d.c.firstChild[ord],
+		FirstChild: d.FirstChild(ord),
 	}
 }
 

@@ -68,15 +68,16 @@ func shardBudgetFixture(t *testing.T) (db1, db4 *Database, query string) {
 // gave each shard worker its own budget would let the 4-shard run spend up
 // to shards× the configured limit without tripping.
 func TestShardSharedBudget(t *testing.T) {
-	// The governed usage of a run is not exactly repeatable: the governor
-	// charges per slab, partially-filled slabs live in a sync.Pool, and a
-	// pool miss charges a whole fresh slab. Pool hits depend on GC timing
-	// (pool cleanup) — pinned off below — and, under the race detector, on
-	// sync.Pool's deliberate random drop of ~1/4 of Puts, which nothing
-	// can pin. Calibration therefore asserts with a 2× margin: usage
-	// varies run-to-run by ~1.3× at worst, while the bug this test exists
-	// to catch (per-shard budgets instead of one shared budget) is a 4×
-	// error, so the margin costs no sensitivity.
+	// The governed usage of a run is not exactly the node count: each
+	// arena charges a whole slab's worth each time its own node count
+	// enters a new multiple of the slab size, so every shard arena (plus
+	// the main arena) rounds its usage up to a slab. The charge follows
+	// node counts, not sync.Pool hits, so GC timing and the race
+	// detector's random pool drops do not move it; GC is still pinned off
+	// below. Calibration asserts with a 2× margin: the rounding is a few
+	// slabs at most, while the bug this test exists to catch (per-shard
+	// budgets instead of one shared budget) is a 4× error, so the margin
+	// costs no sensitivity.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	db1, db4, query := shardBudgetFixture(t)
